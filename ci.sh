@@ -24,6 +24,14 @@ cargo build -p nok-datagen --no-default-features
 echo "==> cargo test"
 cargo test -q
 
+echo "==> benchmark crate tests + a short lowsel run (nokbench is its own workspace)"
+# The root `cargo test` never reaches nokbench. The lowsel run checks every
+# Table 3 Q9-Q12 answer against NaiveEvaluator on both backends and exits
+# nonzero on any wrong answer.
+cargo test -q --manifest-path nokbench/Cargo.toml
+cargo run --release -q --manifest-path nokbench/Cargo.toml -- \
+  --workload lowsel --seed 1 --seconds 1
+
 echo "==> concurrency stress suite (release)"
 cargo test -p nok-serve --release -q --test stress
 

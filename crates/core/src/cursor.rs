@@ -19,11 +19,13 @@
 //! **Navigation index.** On top of the paper's page-granular test sit two
 //! derived structures, both built lazily and never persisted:
 //!
-//! * *In-page block summaries* ([`crate::page::BlockSummary`], computed at
-//!   decode time): per-[`BLOCK_ENTRIES`] `min`/`max` levels plus first-entry
-//!   bookkeeping let the per-entry loops skip whole blocks that cannot hold
-//!   a candidate sibling, a stop, or a close — the same ±1 argument as page
-//!   skipping, applied at block granularity.
+//! * *In-page block minima* ([`DecodedPage::block_min`], computed at decode
+//!   time by both backends): the minimum level of each [`BLOCK_ENTRIES`]
+//!   block — the header's `lo` one level down. One kernel,
+//!   [`first_at_or_below`], skips every block whose minimum is above its
+//!   target level; the sibling and close scans are both built on it. Since
+//!   a page's levels are `st + excess`, this is also the min-excess search
+//!   balanced-parentheses indexes navigate with.
 //! * *A directory skip index* (`store::SkipIndex`): level-bucketed rank
 //!   lists over the header directory answer "next page a scan at level `l`
 //!   must load" in a handful of probes instead of a linear walk over every
@@ -43,12 +45,6 @@
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
 use crate::page::{DecodedPage, Entry, BLOCK_ENTRIES};
-
-/// After this many consecutive block summaries that admit the target (i.e.
-/// cannot skip), the in-page scans stop consulting summaries and walk the
-/// rest of the page linearly. Shallow corpora admit nearly every block, and
-/// there the summary probes are pure overhead over the linear oracle.
-const BLOCK_MISS_LIMIT: u32 = 2;
 use crate::sigma::TagCode;
 use crate::store::{NodeAddr, StructStore};
 use nok_pager::{PageId, Storage};
@@ -139,119 +135,28 @@ pub fn first_child<S: Storage>(
     })
 }
 
-/// Scan one page for a following sibling at level `l`, starting at entry
-/// `from`, skipping blocks whose summary admits neither a candidate nor a
-/// stop. `Some(Some(addr))` = found, `Some(None)` = stop reached (no
-/// sibling), `None` = page exhausted, continue on the next page.
+/// The in-page search kernel: the first entry at or after `from` whose
+/// level is `<= target`, or `None` if the page has none. Skips every block
+/// whose minimum level is above `target` without reading its entries;
+/// `examined` counts the entries actually read.
 #[inline]
-fn scan_sibling_blocks(
+pub fn first_at_or_below(
     page: &DecodedPage,
-    pid: PageId,
     from: usize,
-    l: u16,
-    stop: u16,
+    target: u16,
     examined: &mut u64,
-) -> Option<Option<NodeAddr>> {
-    // Balanced-parentheses fast path (succinct backend): hop from the
-    // current position straight to the enclosing subtree's close via
-    // excess search, then the very next entry decides — an open at `l` is
-    // the sibling, anything lower is the stop.
-    if let Some(bp) = &page.bp {
-        let st = i32::from(page.header.st);
-        let mut j = from;
-        while j < page.len() {
-            *examined += 1;
-            let lev = page.levels[j];
-            if lev <= stop {
-                return Some(None);
-            }
-            if lev == l && page.entries[j].is_open() {
-                return Some(Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                }));
-            }
-            if lev < l {
-                // A close at level l-1: its successor decides.
-                j += 1;
-            } else {
-                // Inside a nested subtree (level ≥ l): excess-search to the
-                // close at level l-1 in O(1) directory probes.
-                match bp.fwd_search_le(j + 1, i32::from(l) - 1 - st) {
-                    None => return None,
-                    Some(k) => j = k,
-                }
-            }
-        }
-        return None;
-    }
-    // No aligned block boundary left in the remaining span: the summaries
-    // cannot skip anything, so the block bookkeeping is pure overhead —
-    // plain linear scan (this is the nav_bench deep/wide regression fix).
-    if from.next_multiple_of(BLOCK_ENTRIES) >= page.len() {
-        for j in from..page.len() {
-            *examined += 1;
-            let lev = page.levels[j];
-            if lev <= stop {
-                return Some(None);
-            }
-            if lev == l && page.entries[j].is_open() {
-                return Some(Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                }));
-            }
-        }
-        return None;
-    }
+) -> Option<usize> {
     let mut i = from;
-    let mut misses = 0u32;
     while i < page.len() {
-        let b = i / BLOCK_ENTRIES;
-        let end = ((b + 1) * BLOCK_ENTRIES).min(page.len());
-        // Whole blocks can only be skipped from their first entry: the
-        // first-open-at-`l` exception reasons about the block boundary.
-        if i == b * BLOCK_ENTRIES {
-            if page.blocks[b].admits_sibling(l) {
-                // In shallow documents nearly every block admits the target
-                // level, so the summary checks are pure overhead on top of
-                // the same entry walk the linear oracle does. After a few
-                // consecutive non-skipping blocks, stop consulting them for
-                // the rest of the page (the nav_bench ns/op regression fix).
-                misses += 1;
-                if misses >= BLOCK_MISS_LIMIT {
-                    for j in i..page.len() {
-                        *examined += 1;
-                        let lev = page.levels[j];
-                        if lev <= stop {
-                            return Some(None);
-                        }
-                        if lev == l && page.entries[j].is_open() {
-                            return Some(Some(NodeAddr {
-                                page: pid,
-                                entry: j as u32,
-                            }));
-                        }
-                    }
-                    return None;
+        let end = ((i / BLOCK_ENTRIES + 1) * BLOCK_ENTRIES).min(page.len());
+        if page.block_min[i / BLOCK_ENTRIES] <= target {
+            let block = &page.levels[i..end];
+            match block.iter().position(|&lev| lev <= target) {
+                Some(k) => {
+                    *examined += k as u64 + 1;
+                    return Some(i + k);
                 }
-            } else {
-                misses = 0;
-                i = end;
-                continue;
-            }
-        }
-        for j in i..end {
-            *examined += 1;
-            let lev = page.levels[j];
-            if lev <= stop {
-                return Some(None);
-            }
-            if lev == l && page.entries[j].is_open() {
-                return Some(Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                }));
+                None => *examined += block.len() as u64,
             }
         }
         i = end;
@@ -259,10 +164,50 @@ fn scan_sibling_blocks(
     None
 }
 
+/// Scan one page, from entry `from`, for what ends a `FOLLOWING-SIBLING`
+/// search at level `l >= 2`: `Some(Some(addr))` = a sibling (an open at `l`),
+/// `Some(None)` = the stop (an entry at level `<= l-2`), `None` = neither on
+/// this page, continue on the next one.
+///
+/// Levels change by ±1 per entry, so every sibling or stop after `from`
+/// directly follows an entry at level `l-1`, and the kernel finds the first
+/// such entry; its successor decides (level `l` is an open, so the sibling;
+/// anything else is the stop). Only the entry at `from` is checked on its
+/// own: its predecessor is outside the scan — on a later page, it ends the
+/// previous page.
+pub fn scan_sibling(
+    page: &DecodedPage,
+    pid: PageId,
+    from: usize,
+    l: u16,
+    examined: &mut u64,
+) -> Option<Option<NodeAddr>> {
+    let at = |j: usize| NodeAddr {
+        page: pid,
+        entry: j as u32,
+    };
+    let &first = page.levels.get(from)?;
+    *examined += 1;
+    if first + 2 <= l {
+        return Some(None);
+    }
+    if first == l && page.entries[from].is_open() {
+        return Some(Some(at(from)));
+    }
+    let close = if first < l {
+        from
+    } else {
+        first_at_or_below(page, from + 1, l - 1, examined)?
+    };
+    let &next = page.levels.get(close + 1)?;
+    *examined += 1;
+    Some((next == l).then(|| at(close + 1)))
+}
+
 /// `FOLLOWING-SIBLING`: the next sibling of the node at `addr`, if any.
 /// Scans right for an open entry at the same level, stopping at the
 /// parent's close (level `l-2`); skips pages via the directory skip index
-/// and entry blocks via the decode-time block summaries.
+/// and entry blocks via the decode-time block minima.
 pub fn following_sibling<S: Storage>(
     store: &StructStore<S>,
     addr: NodeAddr,
@@ -272,21 +217,14 @@ pub fn following_sibling<S: Storage>(
     if l == 1 {
         return Ok(None); // the root has no siblings
     }
-    let stop = l - 2; // level of the parent's close parenthesis
     let mut examined = 0u64;
     let mut probes = 0u64;
 
     let result = (|| {
         // Finish the current page first.
         let page = store.decoded(addr.page)?;
-        if let Some(res) = scan_sibling_blocks(
-            &page,
-            addr.page,
-            addr.entry as usize + 1,
-            l,
-            stop,
-            &mut examined,
-        ) {
+        if let Some(res) = scan_sibling(&page, addr.page, addr.entry as usize + 1, l, &mut examined)
+        {
             return Ok(res);
         }
         // Subsequent pages: hop straight to the next admissible one.
@@ -300,7 +238,7 @@ pub fn following_sibling<S: Storage>(
                 .dir_at(r2)
                 .ok_or_else(|| CoreError::Corrupt(format!("skip index rank {r2} out of range")))?;
             let page = store.decoded(de.id)?;
-            if let Some(res) = scan_sibling_blocks(&page, de.id, 0, l, stop, &mut examined) {
+            if let Some(res) = scan_sibling(&page, de.id, 0, l, &mut examined) {
                 return Ok(res);
             }
             r = r2 + 1;
@@ -381,89 +319,26 @@ pub fn linear_following_sibling<S: Storage>(
     result
 }
 
-/// Scan one page for the first entry at level `< l` starting at `from`,
-/// skipping blocks whose min level rules it out. `Some(addr)` = found,
-/// `None` = continue on the next page.
-#[inline]
-fn scan_close_blocks(
+/// Scan one page, from entry `from`, for the close of a node at level
+/// `l >= 1` (the first entry at level `< l`). `None` = continue on the next
+/// page.
+pub fn scan_close(
     page: &DecodedPage,
     pid: PageId,
     from: usize,
     l: u16,
     examined: &mut u64,
 ) -> Option<NodeAddr> {
-    // Balanced-parentheses fast path (succinct backend): the close of a
-    // node at level `l` is the first later position with excess
-    // ≤ l-1-st — one excess search instead of a per-entry loop.
-    if let Some(bp) = &page.bp {
-        *examined += 1;
-        return bp
-            .fwd_search_le(from, i32::from(l) - 1 - i32::from(page.header.st))
-            .map(|j| NodeAddr {
-                page: pid,
-                entry: j as u32,
-            });
-    }
-    // No aligned block boundary left: skip the block bookkeeping (see
-    // `scan_sibling_blocks`).
-    if from.next_multiple_of(BLOCK_ENTRIES) >= page.len() {
-        for j in from..page.len() {
-            *examined += 1;
-            if page.levels[j] < l {
-                return Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                });
-            }
-        }
-        return None;
-    }
-    let mut i = from;
-    let mut misses = 0u32;
-    while i < page.len() {
-        let b = i / BLOCK_ENTRIES;
-        let end = ((b + 1) * BLOCK_ENTRIES).min(page.len());
-        if i == b * BLOCK_ENTRIES {
-            if page.blocks[b].admits_close(l) {
-                // See `scan_sibling_blocks`: stop consulting summaries after
-                // consecutive non-skipping blocks.
-                misses += 1;
-                if misses >= BLOCK_MISS_LIMIT {
-                    for j in i..page.len() {
-                        *examined += 1;
-                        if page.levels[j] < l {
-                            return Some(NodeAddr {
-                                page: pid,
-                                entry: j as u32,
-                            });
-                        }
-                    }
-                    return None;
-                }
-            } else {
-                misses = 0;
-                i = end;
-                continue;
-            }
-        }
-        for j in i..end {
-            *examined += 1;
-            if page.levels[j] < l {
-                return Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                });
-            }
-        }
-        i = end;
-    }
-    None
+    first_at_or_below(page, from, l - 1, examined).map(|j| NodeAddr {
+        page: pid,
+        entry: j as u32,
+    })
 }
 
 /// Address of the close entry matching the open at `addr` (the first
 /// subsequent close at level `l-1`). Pages that cannot contain any entry at
 /// level `< l` are skipped via the directory skip index; blocks that cannot
-/// are skipped via the decode-time summaries.
+/// are skipped via the decode-time block minima.
 pub fn subtree_close<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> CoreResult<NodeAddr> {
     let (entry, l) = store.entry_at(addr)?;
     debug_assert!(entry.is_open(), "subtree_close of a close entry");
@@ -472,8 +347,7 @@ pub fn subtree_close<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> Core
 
     let result = (|| {
         let page = store.decoded(addr.page)?;
-        if let Some(found) =
-            scan_close_blocks(&page, addr.page, addr.entry as usize + 1, l, &mut examined)
+        if let Some(found) = scan_close(&page, addr.page, addr.entry as usize + 1, l, &mut examined)
         {
             return Ok(found);
         }
@@ -490,7 +364,7 @@ pub fn subtree_close<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> Core
                 .dir_at(r2)
                 .ok_or_else(|| CoreError::Corrupt(format!("skip index rank {r2} out of range")))?;
             let page = store.decoded(de.id)?;
-            if let Some(found) = scan_close_blocks(&page, de.id, 0, l, &mut examined) {
+            if let Some(found) = scan_close(&page, de.id, 0, l, &mut examined) {
                 return Ok(found);
             }
             r = r2 + 1;
@@ -1014,7 +888,7 @@ mod tests {
         );
     }
 
-    /// The block summaries must pay off: a long sibling chain over deep
+    /// The block minima must pay off: a long sibling chain over deep
     /// subtrees examines far fewer entries through the indexed path than
     /// through the per-entry oracle, with identical page loads.
     #[test]

@@ -12,10 +12,10 @@
 //!   pages with `(st, lo, hi)` headers (paper §4.2), behind a
 //!   [`page::StructureBackend`]: the paper's classic byte entries or the
 //!   bit-packed balanced-parentheses encoding.
-//! * [`succinct`] — bitvector, rank/select and excess-search kernels for
-//!   the bit-packed backend.
+//! * [`succinct`] — the LEB128 tag-code helpers of the bit-packed backend.
 //! * [`cursor`] — `FIRST-CHILD` / `FOLLOWING-SIBLING` and derived primitives
-//!   (paper §5, Algorithm 2), with header-directory page skipping.
+//!   (paper §5, Algorithm 2), with header-directory page skipping and one
+//!   in-page search over per-block minimum levels, shared by both backends.
 //! * [`values`] — the detached value data file and its hashing (paper §4.1).
 //! * [`pattern`] — path-expression parsing; [`pattern_tree`] — pattern trees
 //!   and their partitioning into NoK pattern trees.

@@ -32,7 +32,7 @@
 //! is `prev - 1` (so the `)` of a node at depth `l` carries level `l-1`).
 
 use crate::sigma::TagCode;
-use crate::succinct::{read_varint, varint_len, write_varint, BitVec, PageBp};
+use crate::succinct::{read_varint, varint_len, write_varint};
 
 /// Byte of the close-parenthesis entry (ASCII `)`; high bit clear).
 pub const CLOSE_BYTE: u8 = 0x29;
@@ -366,8 +366,7 @@ impl StructureBackend for SuccinctBackend {
                 entries: Vec::new(),
                 levels: Vec::new(),
                 byte_offsets: Vec::new(),
-                blocks: Vec::new(),
-                bp: None,
+                block_min: Vec::new(),
             });
         }
         let n = u16::from_le_bytes([*content.first()?, *content.get(1)?]) as usize;
@@ -375,14 +374,12 @@ impl StructureBackend for SuccinctBackend {
             return None; // a zero count must be encoded as nbytes == 0
         }
         let paren_bytes = content.get(2..2 + n.div_ceil(8))?;
-        let mut bits = BitVec::new();
         let mut entries = Vec::with_capacity(n);
         let mut levels = Vec::with_capacity(n);
         let mut level = header.st as i32;
         let mut tag_pos = 2 + paren_bytes.len();
         for i in 0..n {
             let open = (paren_bytes[i / 8] >> (i % 8)) & 1 == 1;
-            bits.push(open);
             if open {
                 let (code, width) = read_varint(content, tag_pos)?;
                 if code >= 1 << 15 {
@@ -408,15 +405,13 @@ impl StructureBackend for SuccinctBackend {
         if pad > 0 && paren_bytes[paren_bytes.len() - 1] >> (8 - pad) != 0 {
             return None;
         }
-        let blocks = summarize_blocks(&entries, &levels);
-        let bp = Some(PageBp::build(bits));
+        let block_min = block_minima(&levels);
         Some(DecodedPage {
             header,
             entries,
             levels,
             byte_offsets: Vec::new(),
-            blocks,
-            bp,
+            block_min,
         })
     }
 
@@ -439,48 +434,11 @@ pub fn decode_page(kind: BackendKind, buf: &[u8]) -> Option<DecodedPage> {
     kind.backend().decode(buf)
 }
 
-/// Entries per block summary. Small enough that the deep/wide workloads the
-/// paper cares about (tens to a few hundred entries between siblings) skip
-/// most of a page, large enough that the summary array stays tiny (a 4 KB
-/// page of ~1300 entries carries ~82 summaries).
+/// Entries per navigation block. Small enough that the deep/wide workloads
+/// the paper cares about (tens to a few hundred entries between siblings)
+/// skip most of a page, large enough that the per-block array stays tiny (a
+/// 4 KB page of ~1300 entries carries ~82 minima).
 pub const BLOCK_ENTRIES: usize = 16;
-
-/// Per-block min/max levels over a [`BLOCK_ENTRIES`]-entry slice of a page,
-/// plus first-entry bookkeeping for the block-boundary case (an open entry
-/// at the very start of a block whose `l-1` predecessor ends the previous
-/// block — the block-granular analogue of the page-boundary case in the
-/// cursor module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockSummary {
-    /// Minimum entry level in the block.
-    pub min_level: u16,
-    /// Maximum entry level in the block.
-    pub max_level: u16,
-    /// Level of the block's first entry.
-    pub first_level: u16,
-    /// Whether the block's first entry is an open.
-    pub first_is_open: bool,
-}
-
-impl BlockSummary {
-    /// Can this block contain anything a `FOLLOWING-SIBLING` scan at level
-    /// `l` reacts to — a candidate sibling (open at `l`) or a stop entry
-    /// (level ≤ `l-2`)? Levels change by ±1 per entry, so an open at `l`
-    /// anywhere but the block's first entry forces a level-`l-1` predecessor
-    /// inside the block (`min_level < l`); a stop forces `min_level ≤ l-2`.
-    /// The only remaining case is the block *beginning* with an open at `l`.
-    #[inline]
-    pub fn admits_sibling(&self, l: u16) -> bool {
-        self.min_level < l || (self.first_is_open && self.first_level == l)
-    }
-
-    /// Can this block contain the close of a node at level `l` (an entry at
-    /// level `< l`)? Exact: the close carries level `l-1 < l`.
-    #[inline]
-    pub fn admits_close(&self, l: u16) -> bool {
-        self.min_level < l
-    }
-}
 
 /// A structural page decoded into entry/level arrays — the paper's `A[p]`
 /// (content) and `L[p]` (levels) from Algorithm 2's `READ-PAGE`.
@@ -494,15 +452,13 @@ pub struct DecodedPage {
     pub levels: Vec<u16>,
     /// Byte offset of each entry within the content area (for updates).
     pub byte_offsets: Vec<u16>,
-    /// Per-[`BLOCK_ENTRIES`] block summaries (`ceil(len / BLOCK_ENTRIES)` of
-    /// them), computed at decode time and cached with the page — never
-    /// persisted, so the on-disk format is unchanged.
-    pub blocks: Vec<BlockSummary>,
-    /// Balanced-parentheses excess directory, present on pages decoded by
-    /// the succinct backend (built from the parenthesis bits at decode
-    /// time). Navigation uses it for O(1)-style excess searches; classic
-    /// pages fall back to the block summaries.
-    pub bp: Option<PageBp>,
+    /// Minimum level of each [`BLOCK_ENTRIES`]-entry block
+    /// (`ceil(len / BLOCK_ENTRIES)` of them): the page header's `lo` one
+    /// level down, and, since levels are `st + excess`, the min-excess
+    /// directory of the page's parentheses. Computed at decode time by both
+    /// backends and cached with the page — never persisted, so the on-disk
+    /// format is unchanged.
+    pub block_min: Vec<u16>,
 }
 
 impl DecodedPage {
@@ -531,14 +487,13 @@ impl DecodedPage {
             levels.push(level as u16);
             pos += width;
         }
-        let blocks = summarize_blocks(&entries, &levels);
+        let block_min = block_minima(&levels);
         Some(DecodedPage {
             header,
             entries,
             levels,
             byte_offsets,
-            blocks,
-            bp: None,
+            block_min,
         })
     }
 
@@ -571,27 +526,12 @@ impl DecodedPage {
     }
 }
 
-/// Compute the per-block summaries for an entry/level array pair.
-fn summarize_blocks(entries: &[Entry], levels: &[u16]) -> Vec<BlockSummary> {
-    let mut blocks = Vec::with_capacity(levels.len().div_ceil(BLOCK_ENTRIES));
-    let mut start = 0usize;
-    while start < levels.len() {
-        let end = (start + BLOCK_ENTRIES).min(levels.len());
-        let mut min_level = levels[start];
-        let mut max_level = levels[start];
-        for &lev in &levels[start + 1..end] {
-            min_level = min_level.min(lev);
-            max_level = max_level.max(lev);
-        }
-        blocks.push(BlockSummary {
-            min_level,
-            max_level,
-            first_level: levels[start],
-            first_is_open: entries[start].is_open(),
-        });
-        start = end;
-    }
-    blocks
+/// The minimum level of each [`BLOCK_ENTRIES`]-entry block of `levels`.
+fn block_minima(levels: &[u16]) -> Vec<u16> {
+    levels
+        .chunks(BLOCK_ENTRIES)
+        .map(|block| block.iter().copied().fold(u16::MAX, u16::min))
+        .collect()
 }
 
 /// Page capacity in *nodes* (the paper's C): how many 3-byte nodes fit in the
@@ -832,34 +772,19 @@ mod tests {
         buf[HEADER_SIZE..].copy_from_slice(&content);
         let page = DecodedPage::decode(&buf).unwrap();
         assert_eq!(page.len(), 40);
-        assert_eq!(page.blocks.len(), 40usize.div_ceil(BLOCK_ENTRIES));
-        for (b, s) in page.blocks.iter().enumerate() {
+        assert_eq!(page.block_min.len(), 40usize.div_ceil(BLOCK_ENTRIES));
+        for (b, &min) in page.block_min.iter().enumerate() {
             let start = b * BLOCK_ENTRIES;
             let end = (start + BLOCK_ENTRIES).min(page.len());
-            let lv = &page.levels[start..end];
-            assert_eq!(s.min_level, *lv.iter().min().unwrap(), "block {b}");
-            assert_eq!(s.max_level, *lv.iter().max().unwrap(), "block {b}");
-            assert_eq!(s.first_level, lv[0], "block {b}");
-            assert_eq!(s.first_is_open, page.entries[start].is_open());
+            assert_eq!(
+                min,
+                *page.levels[start..end].iter().min().unwrap(),
+                "block {b}"
+            );
         }
-        // Second block (entries 16..32): opens at 17..=20, then closes at
-        // 19 down to 8.
-        let s = page.blocks[1];
-        assert_eq!((s.min_level, s.max_level), (8, 20));
-        assert!(s.first_is_open && s.first_level == 17);
-        // Admit predicates: a sibling scan at l=8 has nothing here (no open
-        // at 8, no entry below 8); at l=9 the min-level rule admits.
-        assert!(!s.admits_sibling(8));
-        assert!(s.admits_sibling(9));
-        assert!(!s.admits_close(8));
-        assert!(s.admits_close(9));
-        // First block is all opens at 1..=16: a sibling scan at l=1 is
-        // admitted only through the first-entry-open exception, and a close
-        // scan at l=1 is (correctly) not.
-        let s0 = page.blocks[0];
-        assert_eq!((s0.min_level, s0.max_level), (1, 16));
-        assert!(s0.admits_sibling(1));
-        assert!(!s0.admits_close(1));
+        // Opens at 1..=16, then opens at 17..=20 and closes at 19 down to 8,
+        // then closes at 7 down to 0.
+        assert_eq!(page.block_min, vec![1, 8, 0]);
     }
 
     /// Build a raw page under `kind` from an entry sequence.
@@ -920,12 +845,7 @@ mod tests {
             .unwrap();
             assert_eq!(classic.entries, succinct.entries);
             assert_eq!(classic.levels, succinct.levels);
-            assert_eq!(classic.blocks, succinct.blocks);
-            assert!(succinct.bp.is_some() && classic.bp.is_none());
-            let bp = succinct.bp.as_ref().unwrap();
-            for (i, &lv) in succinct.levels.iter().enumerate() {
-                assert_eq!(st as i32 + bp.excess_after(i), lv as i32, "entry {i}");
-            }
+            assert_eq!(classic.block_min, succinct.block_min);
         }
     }
 
@@ -959,7 +879,7 @@ mod tests {
         let buf = raw_page(BackendKind::Succinct, 0, &[]);
         let page = decode_page(BackendKind::Succinct, &buf).unwrap();
         assert!(page.is_empty());
-        assert!(page.bp.is_none());
+        assert!(page.block_min.is_empty());
     }
 
     #[test]

@@ -1,43 +1,20 @@
-//! Property tests on the succinct rank/select kernels: for random
-//! bitvectors (including lengths straddling the word, superblock, and
-//! select-sample boundaries), every directory-accelerated operation must
-//! agree with a naive linear recomputation.
+//! Property tests on the in-page navigation kernel and the succinct
+//! backend's tag codes: for random balanced pages with a random start level
+//! (including lengths straddling the 16-entry block boundaries), both
+//! backends decode the same levels and block minima, and the block-skipping
+//! kernel and the sibling/close scans built on it agree with a naive
+//! left-to-right scan of the levels.
 
 use proptest::prelude::*;
 
-use nok_core::succinct::{
-    read_varint, write_varint, BitVec, PageBp, RankSelect, SELECT_SAMPLE, SUPER_BITS,
+use nok_core::cursor::{first_at_or_below, scan_close, scan_sibling};
+use nok_core::page::{
+    decode_page, encode_content, write_header, BackendKind, DecodedPage, Entry, PageHeader,
+    HEADER_SIZE, NO_PAGE,
 };
-
-fn naive_rank1(bits: &[bool], i: usize) -> usize {
-    bits[..i].iter().filter(|b| **b).count()
-}
-
-fn naive_select1(bits: &[bool], k: usize) -> Option<usize> {
-    bits.iter()
-        .enumerate()
-        .filter(|(_, b)| **b)
-        .nth(k)
-        .map(|(i, _)| i)
-}
-
-fn naive_excess(bits: &[bool], i: usize) -> i64 {
-    bits[..i].iter().map(|b| if *b { 1i64 } else { -1 }).sum()
-}
-
-/// Lengths that straddle every directory boundary: word (64), superblock
-/// (512), select sample (64 ones), each at 2^k-1, 2^k, 2^k+1.
-fn boundary_lengths() -> Vec<usize> {
-    let mut out = vec![0, 1, 2, 3];
-    for base in [64usize, 128, SELECT_SAMPLE, SUPER_BITS, 2 * SUPER_BITS] {
-        for d in [-1isize, 0, 1] {
-            out.push((base as isize + d).max(0) as usize);
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
+use nok_core::sigma::TagCode;
+use nok_core::succinct::{read_varint, write_varint};
+use nok_core::NodeAddr;
 
 /// A balanced-parentheses sequence of `pairs` pairs shaped by `coin`
 /// (random tree shape): always non-negative prefix excess, ends at zero.
@@ -61,67 +38,115 @@ fn balanced_from(pairs: usize, coin: &[bool]) -> Vec<bool> {
     bits
 }
 
+/// The page holding entries `[cut, cut + len)` of a balanced document shaped
+/// by `coin`, its `st` the level before `cut` lifted by `base`, so the page
+/// may start, dip and end at any level. Tag codes cycle through all three
+/// varint widths.
+fn page_entries(len: usize, cut: usize, base: u16, coin: &[bool]) -> (u16, Vec<Entry>) {
+    let bits = balanced_from((cut + len).div_ceil(2) + 1, coin);
+    let before: i32 = bits[..cut].iter().map(|&b| if b { 1 } else { -1 }).sum();
+    let entries = bits[cut..cut + len]
+        .iter()
+        .enumerate()
+        .map(|(i, &open)| {
+            if open {
+                Entry::Open(TagCode([3, 200, 20_000][i % 3]))
+            } else {
+                Entry::Close
+            }
+        })
+        .collect();
+    (base + before as u16, entries)
+}
+
+/// Encode `entries` under `kind` and decode the page back.
+fn decode(kind: BackendKind, st: u16, entries: &[Entry]) -> DecodedPage {
+    let content = encode_content(kind, entries);
+    let mut buf = vec![0u8; HEADER_SIZE + content.len()];
+    write_header(
+        &mut buf,
+        &PageHeader {
+            st,
+            lo: 0,
+            hi: 0,
+            next: NO_PAGE,
+            nbytes: content.len() as u16,
+        },
+    );
+    buf[HEADER_SIZE..].copy_from_slice(&content);
+    decode_page(kind, &buf).expect("well-formed page decodes")
+}
+
+/// Decode one page under both backends and check the kernel and both scans
+/// against naive scans for every `from` and every relevant level.
+fn check_page(st: u16, entries: &[Entry]) {
+    let classic = decode(BackendKind::Classic, st, entries);
+    let succinct = decode(BackendKind::Succinct, st, entries);
+    assert_eq!(&classic.entries, &succinct.entries);
+    assert_eq!(&classic.levels, &succinct.levels);
+    assert_eq!(&classic.block_min, &succinct.block_min);
+    let levels = &classic.levels;
+    let naive_min: Vec<u16> = levels
+        .chunks(16)
+        .map(|b| *b.iter().min().unwrap())
+        .collect();
+    assert_eq!(&classic.block_min, &naive_min);
+
+    let n = levels.len();
+    let top = levels.iter().copied().max().unwrap_or(st) + 2;
+    let at = |j: usize| NodeAddr {
+        page: 7,
+        entry: j as u32,
+    };
+    for page in [&classic, &succinct] {
+        for from in 0..=n {
+            for target in 0..=top {
+                let mut examined = 0u64;
+                let got = first_at_or_below(page, from, target, &mut examined);
+                let want = (from..n).find(|&j| levels[j] <= target);
+                assert_eq!(got, want, "kernel from={} target={}", from, target);
+                assert!(examined as usize <= n - from, "kernel read past the page");
+
+                let l = target + 1;
+                let mut examined = 0u64;
+                let got = scan_close(page, 7, from, l, &mut examined);
+                assert_eq!(got, want.map(at), "close from={} l={}", from, l);
+
+                let l = target + 2;
+                let mut examined = 0u64;
+                let got = scan_sibling(page, 7, from, l, &mut examined);
+                let want = (from..n).find_map(|j| {
+                    if levels[j] + 2 <= l {
+                        Some(None)
+                    } else if levels[j] == l && page.entries[j].is_open() {
+                        Some(Some(at(j)))
+                    } else {
+                        None
+                    }
+                });
+                assert_eq!(got, want, "sibling from={} l={}", from, l);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// rank1, rank0, select1, and excess agree with the naive scans at
-    /// every position of a random bitvector.
-    #[test]
-    fn rank_select_excess_match_naive(bits in proptest::collection::vec(any::<bool>(), 0..1200)) {
-        let rs = RankSelect::build(BitVec::from_bits(bits.iter().copied()));
-        prop_assert_eq!(rs.len(), bits.len());
-        let ones = naive_rank1(&bits, bits.len());
-        for i in 0..=bits.len() {
-            prop_assert_eq!(rs.rank1(i), naive_rank1(&bits, i), "rank1({})", i);
-            prop_assert_eq!(rs.rank0(i), i - naive_rank1(&bits, i), "rank0({})", i);
-            prop_assert_eq!(rs.excess(i), naive_excess(&bits, i), "excess({})", i);
-        }
-        for k in 0..ones {
-            prop_assert_eq!(rs.select1(k), naive_select1(&bits, k), "select1({})", k);
-        }
-        prop_assert_eq!(rs.select1(ones), None);
-    }
-
-    /// select1 is the right inverse of rank1 on every set bit.
-    #[test]
-    fn select_is_inverse_of_rank(bits in proptest::collection::vec(any::<bool>(), 1..800)) {
-        let rs = RankSelect::build(BitVec::from_bits(bits.iter().copied()));
-        for (i, b) in bits.iter().enumerate() {
-            if *b {
-                let k = rs.rank1(i);
-                prop_assert_eq!(rs.select1(k), Some(i));
-            }
-        }
-    }
-
-    /// The excess-search kernels agree with naive scans on balanced-parens
-    /// bitvectors for every (from, target) in range.
+    /// The block-skipping kernel and the sibling/close scans agree with
+    /// naive scans on random pages decoded by both backends, which also
+    /// agree on levels and block minima.
     #[test]
     fn excess_search_matches_naive(
-        pairs in 1usize..110,
+        len in prop_oneof![
+            Just(15usize), Just(16), Just(17), Just(31), Just(32), Just(33), 1usize..120
+        ],
+        cut in 0usize..40,
+        base in 0u16..4,
         coin in proptest::collection::vec(any::<bool>(), 64),
     ) {
-        let bits = balanced_from(pairs, &coin);
-        let n = bits.len();
-        let bp = PageBp::build(BitVec::from_bits(bits.iter().copied()));
-        let max_depth = (0..=n).map(|i| naive_excess(&bits, i)).max().unwrap_or(0) as i32;
-        for from in 0..=n {
-            for target in -1..=max_depth {
-                let fwd = (from..n)
-                    .find(|&j| naive_excess(&bits, j + 1) <= i64::from(target));
-                prop_assert_eq!(
-                    bp.fwd_search_le(from, target), fwd,
-                    "fwd_search_le({}, {})", from, target
-                );
-                let bwd = (0..from)
-                    .rev()
-                    .find(|&j| naive_excess(&bits, j + 1) <= i64::from(target));
-                prop_assert_eq!(
-                    bp.bwd_search_le(from, target), bwd,
-                    "bwd_search_le({}, {})", from, target
-                );
-            }
-        }
+        let (st, entries) = page_entries(len, cut, base, &coin);
+        check_page(st, &entries);
     }
 
     /// Varint round-trip over the whole 15-bit tag-code space (and the
@@ -142,31 +167,22 @@ proptest! {
     }
 }
 
-/// Deterministic sweep of the directory boundary lengths with adversarial
-/// fill patterns (all ones stresses select samples; alternating stresses
-/// both rank directions).
+/// Deterministic sweep of the block boundary lengths with adversarial
+/// shapes (a deep comb, a flat run of leaves, a mixed shape), each cut at
+/// several offsets so pages start inside and outside subtrees.
 #[test]
 fn boundary_lengths_round_trip() {
-    for n in boundary_lengths() {
-        for pattern in 0..3u8 {
-            let bits: Vec<bool> = (0..n)
-                .map(|i| match pattern {
-                    0 => true,
-                    1 => i % 2 == 0,
-                    _ => i % 7 == 3,
-                })
-                .collect();
-            let rs = RankSelect::build(BitVec::from_bits(bits.iter().copied()));
-            let ones = naive_rank1(&bits, n);
-            assert_eq!(rs.rank1(n), ones, "n={n} pattern={pattern}");
-            for i in (0..=n).step_by(1.max(n / 97)) {
-                assert_eq!(rs.rank1(i), naive_rank1(&bits, i), "n={n} i={i}");
-                assert_eq!(rs.excess(i), naive_excess(&bits, i), "n={n} i={i}");
+    let shapes: [Vec<bool>; 3] = [
+        vec![true; 64],
+        vec![false; 64],
+        (0..64).map(|i| i % 7 < 4).collect(),
+    ];
+    for len in [1usize, 2, 3, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64] {
+        for coin in &shapes {
+            for cut in [0usize, 1, 5, 16] {
+                let (st, entries) = page_entries(len, cut, 1, coin);
+                check_page(st, &entries);
             }
-            for k in (0..ones).step_by(1.max(ones / 97)) {
-                assert_eq!(rs.select1(k), naive_select1(&bits, k), "n={n} k={k}");
-            }
-            assert_eq!(rs.select1(ones), None, "n={n}");
         }
     }
 }

@@ -115,7 +115,11 @@ impl Json {
     /// Parse a complete JSON document (trailing non-whitespace is an error).
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            src: input,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -145,6 +149,7 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -305,14 +310,13 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 character (multibyte-safe).
-                    let rest = std::str::from_utf8(self.bytes.get(self.pos..).unwrap_or_default())
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err("unterminated string".into());
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Every
+                    // other arm moves past ASCII only, so `pos` is always a
+                    // char boundary of `src`.
+                    let rest = self.src.get(self.pos..).ok_or("invalid utf-8")?;
+                    let run = rest.split(['"', '\\']).next().unwrap_or_default();
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }
@@ -379,6 +383,21 @@ mod tests {
         }
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    /// String parsing is linear in the input: a 4 MiB literal (unescaped
+    /// runs, escapes and multibyte characters) parses well within budget.
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        let unit = "abcdefgh\\n\\\"üñî😀";
+        let reps = (4usize << 20).div_ceil(unit.len());
+        let src = format!("\"{}\"", unit.repeat(reps));
+        let start = std::time::Instant::now();
+        let v = Json::parse(&src).unwrap();
+        let elapsed = start.elapsed();
+        let expected = "abcdefgh\n\"üñî😀".repeat(reps);
+        assert_eq!(v, Json::Str(expected));
+        assert!(elapsed.as_secs_f64() < 2.0, "took {elapsed:?}");
     }
 
     #[test]

@@ -99,9 +99,8 @@ fn randomized_update_workload_stays_clean() {
 }
 
 /// Bit-packed stores must satisfy every invariant the classic ones do, plus
-/// the succinct-specific ones (canonical encoding, rank/select directory
-/// agreement, tag-code bounds) — across all five paper datasets and two
-/// page sizes.
+/// the succinct-specific ones (canonical encoding, tag-code bounds) —
+/// across all five paper datasets and two page sizes.
 #[test]
 fn succinct_builds_are_clean() {
     for kind in DatasetKind::ALL {

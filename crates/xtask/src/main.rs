@@ -12,8 +12,6 @@
 //! * `cargo xtask analyze --self-test` — runs the analyzer over embedded
 //!   fixtures that each reintroduce one violation class (plus clean
 //!   counterparts), and fails if any rule stops firing.
-//! * `cargo xtask lint` — alias for `analyze`, kept for muscle memory and
-//!   old scripts.
 //!
 //! Everything is path-vendored; this crate must never grow a registry
 //! dependency (the build environment is offline).
@@ -32,7 +30,7 @@ fn workspace_root() -> &'static Path {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") | Some("lint") => {
+        Some("analyze") => {
             if args.iter().any(|a| a == "--self-test") {
                 self_test()
             } else {
@@ -49,7 +47,6 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!("usage: cargo xtask analyze [--json] [--self-test]");
-    eprintln!("       cargo xtask lint     (alias for analyze)");
     ExitCode::FAILURE
 }
 
