@@ -24,13 +24,16 @@ cargo build -p nok-datagen --no-default-features
 echo "==> cargo test"
 cargo test -q
 
-echo "==> benchmark crate tests + a short lowsel run (nokbench is its own workspace)"
+echo "==> benchmark crate tests + short lowsel and point runs (nokbench is its own workspace)"
 # The root `cargo test` never reaches nokbench. The lowsel run checks every
-# Table 3 Q9-Q12 answer against NaiveEvaluator on both backends and exits
-# nonzero on any wrong answer.
+# Table 3 Q9-Q12 answer against NaiveEvaluator on both backends, the point
+# run every Q1-Q8 answer on all five datasets; each exits nonzero on any
+# wrong answer.
 cargo test -q --manifest-path nokbench/Cargo.toml
 cargo run --release -q --manifest-path nokbench/Cargo.toml -- \
   --workload lowsel --seed 1 --seconds 1
+cargo run --release -q --manifest-path nokbench/Cargo.toml -- \
+  --workload point --seed 1 --seconds 1
 
 echo "==> concurrency stress suite (release)"
 cargo test -p nok-serve --release -q --test stress

@@ -21,6 +21,7 @@
 //!    records' hot matches: deduplicated, in document order.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use nok_pager::Storage;
 
@@ -458,17 +459,32 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// Plan, execute, and render the plan with estimated vs. actual
-    /// cardinalities per operator.
+    /// cardinalities per operator. A leading `plan` row gives the planning
+    /// wall time and the size of the path summary it consulted.
     pub fn explain(
         &self,
         path: &str,
         opts: QueryOptions,
     ) -> CoreResult<(Vec<QueryMatch>, Explain)> {
+        let started = Instant::now();
         let planned = self.plan_query(path, opts)?;
+        let plan_us = started.elapsed().as_secs_f64() * 1e6;
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
         self.execute_plan(&planned, &mut scratch, &mut out)?;
-        let explain = build_explain(&planned, scratch.stats(), out.len());
+        let mut explain = build_explain(&planned, scratch.stats(), out.len());
+        explain.rows.insert(
+            0,
+            ExplainRow {
+                op: "plan".into(),
+                detail: format!(
+                    "planned in {plan_us:.1} us, synopsis distinct_paths={}",
+                    self.synopsis().distinct_paths()
+                ),
+                est: None,
+                actual: None,
+            },
+        );
         Ok((out, explain))
     }
 }
@@ -859,6 +875,13 @@ mod tests {
             "{explain}"
         );
         assert!(explain.rows.iter().any(|r| r.op == "collect"));
+        assert_eq!(explain.rows[0].op, "plan", "{explain}");
+        assert!(
+            explain.rows[0]
+                .detail
+                .contains(" us, synopsis distinct_paths="),
+            "{explain}"
+        );
         let collect = explain.rows.last().unwrap();
         assert_eq!(collect.actual, Some(hits.len() as u64));
         // Every executed eval row has both an estimate and an actual.

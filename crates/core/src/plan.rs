@@ -176,7 +176,7 @@ pub struct PlannedQuery {
 /// cardinalities.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplainRow {
-    /// Operator kind: `eval`, `filter`, or `collect`.
+    /// Operator kind: `plan`, `eval`, `filter`, or `collect`.
     pub op: String,
     /// Human-readable operator detail.
     pub detail: String,

@@ -24,7 +24,8 @@
 //! Only `core::{build, update, synopsis}` may mutate a synopsis; the
 //! `synopsis-mutation` rule in `cargo xtask analyze` enforces this.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::sigma::TagCode;
 
@@ -96,9 +97,105 @@ impl TrieNode {
 /// Node 0 is a virtual root above the document element; its count is always
 /// zero. A child edge labeled `t` below trie node for path `p` represents
 /// the path `p/t`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PathTrie {
     nodes: Vec<TrieNode>,
+    /// Lookup index for path-support queries, built on first use and reset
+    /// by every count change.
+    index: OnceLock<TrieIndex>,
+}
+
+/// A clone is the copy-on-write copy an update transaction takes of a
+/// published synopsis. It is about to be mutated, so it starts without an
+/// index instead of copying one it would reset on its first change.
+impl Clone for PathTrie {
+    fn clone(&self) -> Self {
+        PathTrie {
+            nodes: self.nodes.clone(),
+            index: OnceLock::new(),
+        }
+    }
+}
+
+/// The trie in preorder, for answering a chain of steps without walking
+/// it. The subtree of the node at preorder `p` is the range
+/// `p..end[p]`, so a `//tag` step is a binary-searched slice of that tag's
+/// preorder-sorted node list.
+#[derive(Debug)]
+struct TrieIndex {
+    /// Preorder number of each trie node, by node id.
+    pre: Vec<u32>,
+    /// Node id at each preorder number.
+    node: Vec<u32>,
+    /// Exclusive preorder end of each node's subtree, by preorder.
+    end: Vec<u32>,
+    /// Summed count of each node's subtree, by preorder.
+    subtree: Vec<u64>,
+    /// `tag_nodes[tag_start[t]..tag_start[t + 1]]` are the preorder numbers
+    /// of the nodes tagged `t`, ascending.
+    tag_start: Vec<u32>,
+    tag_nodes: Vec<u32>,
+}
+
+impl TrieIndex {
+    fn build(nodes: &[TrieNode]) -> TrieIndex {
+        let n = nodes.len();
+        let mut pre = vec![0u32; n];
+        let mut node = Vec::with_capacity(n);
+        let mut parent = Vec::with_capacity(n); // preorder of the parent
+        let mut stack: Vec<(u32, u32)> = vec![(0, 0)];
+        while let Some((id, up)) = stack.pop() {
+            let p = node.len() as u32;
+            pre[id as usize] = p;
+            node.push(id);
+            parent.push(up);
+            for &c in nodes[id as usize].children.iter().rev() {
+                stack.push((c, p));
+            }
+        }
+        // Children follow their parent in preorder, so one reverse pass
+        // folds every subtree into its parent.
+        let mut end: Vec<u32> = (1..=n as u32).collect();
+        let mut subtree: Vec<u64> = node.iter().map(|&id| nodes[id as usize].count).collect();
+        for p in (1..n).rev() {
+            let up = parent[p] as usize;
+            end[up] = end[up].max(end[p]);
+            subtree[up] = subtree[up].saturating_add(subtree[p]);
+        }
+        // Counting sort of the non-root nodes by tag, stable in preorder.
+        let max_tag = nodes[1..].iter().map(|t| usize::from(t.tag.0)).max();
+        let mut tag_start = vec![0u32; max_tag.map_or(1, |t| t + 2)];
+        for &id in &node[1..] {
+            tag_start[usize::from(nodes[id as usize].tag.0) + 1] += 1;
+        }
+        for t in 1..tag_start.len() {
+            tag_start[t] += tag_start[t - 1];
+        }
+        let mut fill = tag_start.clone();
+        let mut tag_nodes = vec![0u32; n - 1];
+        for (p, &id) in node.iter().enumerate().skip(1) {
+            let slot = &mut fill[usize::from(nodes[id as usize].tag.0)];
+            tag_nodes[*slot as usize] = p as u32;
+            *slot += 1;
+        }
+        TrieIndex {
+            pre,
+            node,
+            end,
+            subtree,
+            tag_start,
+            tag_nodes,
+        }
+    }
+
+    /// Preorder numbers of the nodes tagged `tag`, ascending.
+    fn tagged(&self, tag: TagCode) -> &[u32] {
+        let t = usize::from(tag.0);
+        match (self.tag_start.get(t), self.tag_start.get(t + 1)) {
+            (Some(&lo), Some(&hi)) => &self.tag_nodes[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
 }
 
 impl Default for PathTrie {
@@ -112,6 +209,7 @@ impl PathTrie {
     pub fn new() -> PathTrie {
         PathTrie {
             nodes: vec![TrieNode::root()],
+            index: OnceLock::new(),
         }
     }
 
@@ -142,6 +240,7 @@ impl PathTrie {
 
     /// Walk (creating) the node for `tags` and add `n` to its count.
     pub fn add_path_count(&mut self, tags: &[TagCode], n: u64) {
+        self.index.take();
         let mut cur = 0u32;
         for &t in tags {
             cur = self.child_or_insert(cur, t);
@@ -154,6 +253,7 @@ impl PathTrie {
     /// count, saturating at zero. Nodes are left in place; zero-count
     /// subtrees are dropped at encode time.
     pub fn sub_path_count(&mut self, tags: &[TagCode], n: u64) {
+        self.index.take();
         let mut cur = 0u32;
         for &t in tags {
             match self.child_of(cur, t) {
@@ -177,29 +277,58 @@ impl PathTrie {
         self.nodes[cur as usize].count
     }
 
-    /// The accepting trie states for a chain of steps (NFA-style walk).
-    fn accepting(&self, steps: &[PathStep]) -> BTreeSet<u32> {
-        let mut states: BTreeSet<u32> = BTreeSet::new();
-        states.insert(0);
+    fn index(&self) -> &TrieIndex {
+        self.index.get_or_init(|| TrieIndex::build(&self.nodes))
+    }
+
+    /// The accepting trie states for a chain of steps (NFA-style walk), as
+    /// ascending preorder numbers. An empty chain accepts nothing.
+    fn accepting(&self, steps: &[PathStep]) -> Vec<u32> {
+        if steps.is_empty() {
+            return Vec::new();
+        }
+        let ix = self.index();
+        let mut states: Vec<u32> = vec![0];
         for step in steps {
-            let mut next: BTreeSet<u32> = BTreeSet::new();
-            for &s in &states {
-                match step.axis {
-                    PathAxis::Child => {
-                        for &c in &self.nodes[s as usize].children {
-                            if step.tag.is_none() || step.tag == Some(self.nodes[c as usize].tag) {
-                                next.insert(c);
+            let mut next: Vec<u32> = Vec::new();
+            match step.axis {
+                PathAxis::Child => {
+                    for &s in &states {
+                        let id = ix.node[s as usize];
+                        match step.tag {
+                            Some(t) => {
+                                next.extend(self.child_of(id, t).map(|c| ix.pre[c as usize]))
                             }
+                            None => next.extend(
+                                self.nodes[id as usize]
+                                    .children
+                                    .iter()
+                                    .map(|&c| ix.pre[c as usize]),
+                            ),
                         }
                     }
-                    PathAxis::Descendant => {
-                        // All strict descendants whose tag matches.
-                        let mut stack: Vec<u32> = self.nodes[s as usize].children.clone();
-                        while let Some(d) = stack.pop() {
-                            if step.tag.is_none() || step.tag == Some(self.nodes[d as usize].tag) {
-                                next.insert(d);
+                    // A state's later children come after the children of
+                    // a state nested in it.
+                    next.sort_unstable();
+                }
+                PathAxis::Descendant => {
+                    // A state inside an earlier state's subtree adds no
+                    // descendant that one has not, so each surviving range
+                    // is disjoint from and after the last.
+                    let mut covered = 0u32;
+                    for &s in &states {
+                        if s < covered {
+                            continue;
+                        }
+                        covered = ix.end[s as usize];
+                        match step.tag {
+                            Some(t) => {
+                                let list = ix.tagged(t);
+                                let lo = list.partition_point(|&p| p <= s);
+                                let hi = list.partition_point(|&p| p < covered);
+                                next.extend_from_slice(&list[lo..hi]);
                             }
-                            stack.extend_from_slice(&self.nodes[d as usize].children);
+                            None => next.extend(s + 1..covered),
                         }
                     }
                 }
@@ -215,36 +344,26 @@ impl PathTrie {
     /// Number of document nodes whose root path satisfies the chain — the
     /// true support of a pattern node. Zero proves the pattern empty.
     pub fn support(&self, steps: &[PathStep]) -> u64 {
+        let ix = self.index();
         self.accepting(steps)
             .iter()
-            .map(|&s| self.nodes[s as usize].count)
+            .map(|&s| self.nodes[ix.node[s as usize] as usize].count)
             .fold(0u64, u64::saturating_add)
     }
 
     /// Number of document nodes at-or-below paths satisfying the chain —
     /// the volume of tree a NoK matcher seeded on those nodes can touch.
     pub fn subtree_support(&self, steps: &[PathStep]) -> u64 {
-        let acc = self.accepting(steps);
+        let ix = self.index();
         // Sum whole subtrees, skipping accepting nodes nested inside an
         // already-counted accepting ancestor's subtree.
         let mut total = 0u64;
-        let mut stack: Vec<u32> = vec![0];
-        while let Some(n) = stack.pop() {
-            if n != 0 && acc.contains(&n) {
-                total = total.saturating_add(self.subtree_count(n));
-            } else {
-                stack.extend_from_slice(&self.nodes[n as usize].children);
+        let mut covered = 0u32;
+        for s in self.accepting(steps) {
+            if s >= covered {
+                covered = ix.end[s as usize];
+                total = total.saturating_add(ix.subtree[s as usize]);
             }
-        }
-        total
-    }
-
-    fn subtree_count(&self, node: u32) -> u64 {
-        let mut total = 0u64;
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            total = total.saturating_add(self.nodes[n as usize].count);
-            stack.extend_from_slice(&self.nodes[n as usize].children);
         }
         total
     }
